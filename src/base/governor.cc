@@ -54,8 +54,7 @@ bool ResourceGovernor::CheckpointSlow() {
   if (exhausted()) {
     return false;  // sticky: nested enumerations unwind without re-arming
   }
-  if (cancel_bound_ != nullptr &&
-      cancel_position_ >= cancel_bound_->load(std::memory_order_relaxed)) {
+  if (CancelBoundReached()) {
     Exhaust(ExhaustCause::kCancelled);
     return false;
   }
@@ -77,6 +76,15 @@ bool ResourceGovernor::CheckpointSlow() {
     }
   }
   return true;
+}
+
+bool ResourceGovernor::InterruptPending() const {
+  if (exhausted() || CancelBoundReached()) {
+    return true;
+  }
+  return budget_.deadline_ms > 0 &&
+         std::chrono::steady_clock::now() - start_ >=
+             std::chrono::milliseconds(budget_.deadline_ms);
 }
 
 bool ResourceGovernor::AdmitBlock(size_t block_facts) {

@@ -158,6 +158,13 @@ class ResourceGovernor {
   /// cancellation fired.
   bool exhausted() const { return cause() != ExhaustCause::kNone; }
 
+  /// Pure query for code that blocks instead of enumerating (the
+  /// block-solve cache's single-flight waiters, cache/block_cache.h):
+  /// true when the governor is exhausted, its cancellation bound has
+  /// reached its position, or its deadline has passed.  Counts no node
+  /// and fires nothing, so a waiter's node trajectory is unchanged.
+  bool InterruptPending() const;
+
   /// True when any budget enforcement happened: exhaustion or at least
   /// one refused block.  A degraded call's "unknown" parts are real.
   bool degraded() const { return exhausted() || blocks_refused() > 0; }
@@ -238,6 +245,10 @@ class ResourceGovernor {
   // here: there is no lock, by design — the unarmed Checkpoint() fast
   // path must stay write-free and fence-free.
   bool CheckpointSlow();
+  bool CancelBoundReached() const {
+    return cancel_bound_ != nullptr &&
+           cancel_position_ >= cancel_bound_->load(std::memory_order_relaxed);
+  }
   void Exhaust(ExhaustCause cause) {
     // First cause wins; a racing second exhaustion keeps the original
     // diagnosis (both still return false from their checkpoint).
@@ -281,9 +292,10 @@ struct DegradationReport {
   std::string cause;
   /// Block-solve cache traffic during this call (zero when no cache is
   /// installed).  NOT part of the byte-identical cache-on/off contract:
-  /// these counters necessarily differ between cached and uncached runs
-  /// and depend on worker timing (racing workers can both miss the same
-  /// fingerprint); everything else in the report stays identical.
+  /// these counters necessarily differ between cached and uncached runs,
+  /// and under cancellation or a deadline they still depend on worker
+  /// timing (which claimant is cancelled before it hits; see
+  /// docs/caching.md); everything else in the report stays identical.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   /// One entry per abandoned block.

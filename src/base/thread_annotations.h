@@ -23,6 +23,7 @@
 #ifndef PREFREP_BASE_THREAD_ANNOTATIONS_H_
 #define PREFREP_BASE_THREAD_ANNOTATIONS_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -140,6 +141,14 @@ class CondVar {
   template <typename Pred>
   void Wait(Mutex& mu, Pred pred) PREFREP_REQUIRES(mu) {
     cv_.wait(mu, std::move(pred));
+  }
+
+  /// Like Wait(mu), but returns after `timeout` at the latest (callers
+  /// re-check their condition either way).
+  template <typename Rep, typename Period>
+  void WaitFor(Mutex& mu, std::chrono::duration<Rep, Period> timeout)
+      PREFREP_REQUIRES(mu) {
+    cv_.wait_for(mu, timeout);
   }
 
   void NotifyOne() { cv_.notify_one(); }

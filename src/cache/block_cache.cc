@@ -33,6 +33,65 @@ std::optional<BlockSolveCache::Entry> BlockSolveCache::Lookup(
   return it->second->second;  // copy out under the lock
 }
 
+std::optional<BlockSolveCache::Entry> BlockSolveCache::LookupOrClaim(
+    const BlockFingerprint& key, const ResourceGovernor& governor,
+    Claim* claim) {
+  PREFREP_DCHECK(!claim->held());
+  Shard& shard = shard_of(key);
+  MutexLock lock(shard.mu);
+  bool waited = false;
+  while (true) {
+    auto it = shard.index.find(key);
+    if (it != shard.index.end()) {
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      return it->second->second;  // copy out under the lock
+    }
+    if (std::find(shard.in_flight.begin(), shard.in_flight.end(), key) ==
+        shard.in_flight.end()) {
+      shard.in_flight.push_back(key);
+      claim->cache_ = this;
+      claim->key_ = key;
+      return std::nullopt;
+    }
+    if (governor.InterruptPending()) {
+      return std::nullopt;  // the caller's solve fires the governor
+    }
+    if (!waited) {
+      waits_.fetch_add(1, std::memory_order_relaxed);
+      waited = true;
+    }
+    ++shard.waiters;
+    if (governor.unlimited()) {
+      shard.released.Wait(shard.mu);  // nothing can interrupt this wait
+    } else {
+      shard.released.WaitFor(shard.mu, kWaitPollInterval);
+    }
+    --shard.waiters;
+  }
+}
+
+void BlockSolveCache::ReleaseClaim(const BlockFingerprint& key) {
+  Shard& shard = shard_of(key);
+  MutexLock lock(shard.mu);
+  auto it = std::find(shard.in_flight.begin(), shard.in_flight.end(), key);
+  PREFREP_DCHECK(it != shard.in_flight.end());
+  *it = shard.in_flight.back();
+  shard.in_flight.pop_back();
+  if (shard.waiters > 0) {
+    // Every waiter of the shard wakes and looks again: after a Store
+    // they all find the entry; otherwise the first to retake the lock
+    // claims the key and the rest wait on it.
+    shard.released.NotifyAll();
+  }
+}
+
+void BlockSolveCache::Claim::Release() {
+  if (cache_ != nullptr) {
+    cache_->ReleaseClaim(key_);
+    cache_ = nullptr;
+  }
+}
+
 void BlockSolveCache::Store(const BlockFingerprint& key, Entry entry) {
   Shard& shard = shard_of(key);
   const size_t incoming_bytes = EntryBytes(entry);
@@ -120,6 +179,7 @@ BlockCacheStats BlockSolveCache::stats() const {
   s.misses = misses_.load(std::memory_order_relaxed);
   s.stores = stores_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
+  s.waits = waits_.load(std::memory_order_relaxed);
   s.entries = entries_.load(std::memory_order_relaxed);
   s.bytes = bytes_.load(std::memory_order_relaxed);
   return s;

@@ -21,10 +21,20 @@
 // "Governor interaction").
 //
 // Thread safety: 16 independently-locked shards; counters are atomics.
-// Worker timing can change which thread pays a miss (two workers may
-// both miss the same fresh fingerprint), so hit/miss counts are
-// timing-dependent — but every stored value for a key is the same
-// deterministic result, so *values* served are not.
+// Misses are single-flight (LookupOrClaim): the first thread to miss a
+// key claims it and solves; every other thread that misses the same key
+// waits for the claim to be released and looks again, so an
+// isomorphism class pays for one solve at any thread count.  A claim
+// released without a store (the solve was incomplete, exhausted or
+// cancelled) passes to exactly one of the waiters.  A waiter never
+// calls Checkpoint(), so its node trajectory is the cache-off one; it
+// stops waiting once its own governor is cancelled or past its deadline
+// (ResourceGovernor::InterruptPending) and takes the ordinary miss
+// path.  No thread waits while it holds a claim, so no wait cycle is
+// possible.  What stays timing-dependent is which claimant is cancelled
+// under a refutation or a deadline, and therefore the hit/miss counts
+// of such runs — never the *values* served: every stored value for a
+// key is the same deterministic result.
 //
 // The cache itself is policy-free: callers (repair/block_solver.cc,
 // repair/construct.cc) decide when serving is governor-correct and call
@@ -35,6 +45,7 @@
 #define PREFREP_CACHE_BLOCK_CACHE_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -57,6 +68,8 @@ struct BlockCacheStats {
   uint64_t misses = 0;
   uint64_t stores = 0;
   uint64_t evictions = 0;
+  /// Lookups that blocked on another thread's in-flight solve.
+  uint64_t waits = 0;
   size_t entries = 0;
   /// Approximate heap footprint of the stored payloads.
   size_t bytes = 0;
@@ -102,6 +115,43 @@ class BlockSolveCache {
   /// served (governor rules) and reports via NoteHit/NoteMiss.
   std::optional<Entry> Lookup(const BlockFingerprint& key);
 
+  /// The right to solve one key on a miss, held by at most one thread
+  /// at a time.  Released on destruction — after the holder's Store,
+  /// so the waiters it wakes find the entry.  An empty Claim holds
+  /// nothing.
+  class Claim {
+   public:
+    Claim() = default;
+    ~Claim() { Release(); }
+    PREFREP_DISALLOW_COPY(Claim);
+
+    bool held() const { return cache_ != nullptr; }
+
+    /// Gives the claim up now (idempotent).
+    void Release();
+
+   private:
+    friend class BlockSolveCache;
+    BlockSolveCache* cache_ = nullptr;
+    BlockFingerprint key_{};
+  };
+
+  /// Single-flight Lookup.  Returns the entry when `key` is present.
+  /// Otherwise returns nullopt, and `*claim` holds `key` unless another
+  /// thread's claim is in flight: then this call waits until that claim
+  /// is released and looks again.  The wait polls `governor` without
+  /// calling Checkpoint(); once governor.InterruptPending() it returns
+  /// nullopt with `*claim` empty, and the caller's fresh solve fires the
+  /// governor as it would have cache-off.  `*claim` must be empty on
+  /// entry, and its holder must not wait on another claim while it
+  /// holds this one.
+  std::optional<Entry> LookupOrClaim(const BlockFingerprint& key,
+                                     const ResourceGovernor& governor,
+                                     Claim* claim);
+
+  /// How often a waiter whose governor can be interrupted polls it.
+  static constexpr std::chrono::milliseconds kWaitPollInterval{1};
+
   /// Inserts `entry` under `key`, evicting the least-recently-used
   /// entry of the shard when full.  An existing entry is replaced only
   /// when the incoming one upgrades nodes_valid from false to true
@@ -143,6 +193,8 @@ class BlockSolveCache {
 
  private:
   struct Shard {
+    Shard() { in_flight.reserve(4); }
+
     Mutex mu;
     // Front = most recently used.
     std::list<std::pair<BlockFingerprint, Entry>> lru PREFREP_GUARDED_BY(mu);
@@ -150,7 +202,16 @@ class BlockSolveCache {
                        std::list<std::pair<BlockFingerprint, Entry>>::iterator,
                        BlockFingerprintHash>
         index PREFREP_GUARDED_BY(mu);
+    // Keys claimed by a solving thread.  At most one per thread, so the
+    // list stays short; reserved up front so claiming does not allocate.
+    std::vector<BlockFingerprint> in_flight PREFREP_GUARDED_BY(mu);
+    // Threads blocked in LookupOrClaim; releasing a claim notifies
+    // `released` only when there are any.
+    size_t waiters PREFREP_GUARDED_BY(mu) = 0;
+    CondVar released;
   };
+
+  void ReleaseClaim(const BlockFingerprint& key);
 
   Shard& shard_of(const BlockFingerprint& key) {
     return shards_[key.hi >> 60];  // top 4 bits pick one of 16 shards
@@ -174,6 +235,7 @@ class BlockSolveCache {
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> stores_{0};
   std::atomic<uint64_t> evictions_{0};
+  std::atomic<uint64_t> waits_{0};
   std::atomic<size_t> entries_{0};
   std::atomic<size_t> bytes_{0};
 };

@@ -395,6 +395,10 @@ namespace {
 //    replaying the entry's node cost must not reach the node firing
 //    index — otherwise the fresh solve would have fired mid-block and
 //    the hit is refused so exactly that happens.
+//  * Solve each key once.  Lookups go through LookupOrClaim, so a
+//    thread that misses a key another thread is solving waits for that
+//    solve's Store instead of repeating it; the Claim is released when
+//    the helper returns, after its Store.
 
 uint64_t SolverSalt(const BlockSolver& solver) {
   const std::string_view name = solver.Name();
@@ -437,7 +441,9 @@ CheckResult CacheAwareCheckBlock(const BlockSolver& solver,
   const BlockFingerprint key =
       DeriveOpKey(base, BlockCacheOp::kVerdict, SolverSalt(solver),
                   CanonicalSubsetDigest(b, j));
-  if (std::optional<BlockSolveCache::Entry> entry = cache->Lookup(key);
+  BlockSolveCache::Claim claim;  // released after the Store below
+  if (std::optional<BlockSolveCache::Entry> entry =
+          cache->LookupOrClaim(key, governor, &claim);
       entry.has_value() && MayServeCachedEntry(governor, *entry)) {
     cache->NoteHit();
     ReplayServedNodes(governor, *entry);
@@ -507,7 +513,9 @@ std::vector<DynamicBitset> CachedOptimalBlockRepairs(const BlockSolver& solver,
   const BlockFingerprint base = ComputeBlockFingerprint(ctx, b);
   const BlockFingerprint key =
       DeriveOpKey(base, BlockCacheOp::kOptimalSet, SolverSalt(solver));
-  if (std::optional<BlockSolveCache::Entry> entry = cache->Lookup(key);
+  BlockSolveCache::Claim claim;  // released after the Store below
+  if (std::optional<BlockSolveCache::Entry> entry =
+          cache->LookupOrClaim(key, governor, &claim);
       entry.has_value() && MayServeCachedEntry(governor, *entry)) {
     cache->NoteHit();
     ReplayServedNodes(governor, *entry);
@@ -552,7 +560,9 @@ uint64_t CachedCountBlock(const BlockSolver& solver, const ProblemContext& ctx,
   const BlockFingerprint base = ComputeBlockFingerprint(ctx, b);
   const BlockFingerprint key =
       DeriveOpKey(base, BlockCacheOp::kCount, SolverSalt(solver));
-  if (std::optional<BlockSolveCache::Entry> entry = cache->Lookup(key);
+  BlockSolveCache::Claim claim;  // released after the Store below
+  if (std::optional<BlockSolveCache::Entry> entry =
+          cache->LookupOrClaim(key, governor, &claim);
       entry.has_value() && MayServeCachedEntry(governor, *entry)) {
     cache->NoteHit();
     ReplayServedNodes(governor, *entry);

@@ -115,7 +115,9 @@ std::optional<DynamicBitset> CachedGreedyBlock(const ProblemContext& cx,
   const BlockFingerprint key =
       DeriveOpKey(base, BlockCacheOp::kConstruct,
                   static_cast<uint64_t>(options.tie_break), stream_salt);
-  if (std::optional<BlockSolveCache::Entry> entry = cache->Lookup(key);
+  BlockSolveCache::Claim claim;  // released after the Store below
+  if (std::optional<BlockSolveCache::Entry> entry =
+          cache->LookupOrClaim(key, governor, &claim);
       entry.has_value() && MayServeCachedEntry(governor, *entry)) {
     cache->NoteHit();
     ReplayServedNodes(governor, *entry);

@@ -1,11 +1,17 @@
 // Tests for the block-solve cache (cache/): canonical fingerprint
 // invariance and distinctness, subset (un)canonicalization, per-op key
 // derivation, LRU eviction and the store-upgrade policy, the
-// governor-correct serve rule, and the end-to-end hit behaviour on a
-// sharded hard workload.
+// governor-correct serve rule, single-flight misses, and the end-to-end
+// hit behaviour on a sharded hard workload.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <functional>
+#include <thread>
+
+#include "base/thread_pool.h"
 #include "cache/block_cache.h"
 #include "cache/block_fingerprint.h"
 #include "gen/hard_workloads.h"
@@ -219,6 +225,160 @@ TEST(ServeRuleTest, WouldAdmitBlockMirrorsAdmitBlockWithoutRecording) {
   // The unarmed governor admits everything under the hard cap.
   EXPECT_TRUE(ResourceGovernor::Unlimited().WouldAdmitBlock(
       ResourceGovernor::kMaxExhaustiveBlockFacts));
+}
+
+// ---- Single-flight misses -------------------------------------------
+
+// Spins until `n` lookups of `cache` have blocked on an in-flight claim.
+void AwaitWaits(const BlockSolveCache& cache, uint64_t n) {
+  while (cache.stats().waits < n) {
+    std::this_thread::yield();
+  }
+}
+
+TEST(SingleFlightTest, FirstMissClaimsAndReleaseIsIdempotent) {
+  BlockSolveCache cache;
+  BlockSolveCache::Claim claim;
+  EXPECT_FALSE(
+      cache.LookupOrClaim(ShardZeroKey(1), ResourceGovernor::Unlimited(),
+                          &claim)
+          .has_value());
+  EXPECT_TRUE(claim.held());
+  claim.Release();
+  claim.Release();
+  EXPECT_FALSE(claim.held());
+  // Released without a store: the next miss claims the key again.
+  BlockSolveCache::Claim again;
+  EXPECT_FALSE(
+      cache.LookupOrClaim(ShardZeroKey(1), ResourceGovernor::Unlimited(),
+                          &again)
+          .has_value());
+  EXPECT_TRUE(again.held());
+  EXPECT_EQ(cache.stats().waits, 0u);
+}
+
+TEST(SingleFlightTest, ReleasedClaimWithoutStorePassesToExactlyOneWaiter) {
+  BlockSolveCache cache;
+  const BlockFingerprint key = ShardZeroKey(7);
+  BlockSolveCache::Claim first;
+  ASSERT_FALSE(
+      cache.LookupOrClaim(key, ResourceGovernor::Unlimited(), &first)
+          .has_value());
+  ASSERT_TRUE(first.held());
+
+  std::atomic<int> returned{0};
+  std::atomic<int> claimed{0};
+  std::atomic<int> served{0};
+  std::atomic<bool> store_now{false};
+  {
+    ThreadPool pool(2);
+    for (int i = 0; i < 2; ++i) {
+      pool.Submit([&] {
+        BlockSolveCache::Claim claim;
+        std::optional<BlockSolveCache::Entry> got =
+            cache.LookupOrClaim(key, ResourceGovernor::Unlimited(), &claim);
+        returned.fetch_add(1);
+        if (claim.held()) {
+          claimed.fetch_add(1);
+          while (!store_now.load()) {
+            std::this_thread::yield();
+          }
+          cache.Store(key, CountedEntry(42, 3));
+        } else if (got.has_value() && got->count == 42) {
+          served.fetch_add(1);
+        }
+      });
+    }
+    AwaitWaits(cache, 2);  // both threads wait on the first claim
+    first.Release();       // ...which stores nothing
+    while (returned.load() < 1) {
+      std::this_thread::yield();
+    }
+    // One waiter now holds the claim; the other keeps waiting on it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(returned.load(), 1);
+    EXPECT_EQ(claimed.load(), 1);
+    store_now.store(true);
+  }
+  EXPECT_EQ(claimed.load(), 1);
+  EXPECT_EQ(served.load(), 1);  // the last waiter replays the store
+  EXPECT_EQ(cache.stats().stores, 1u);
+}
+
+// A waiter interrupted by its own governor returns unclaimed and empty
+// (the caller's fresh solve then fires the governor as it would have
+// cache-off), having counted no node while it waited.
+void ExpectWaiterStopsWhen(
+    ResourceGovernor& gov,
+    const std::function<void(const BlockSolveCache&)>& interrupt) {
+  BlockSolveCache cache;
+  const BlockFingerprint key = ShardZeroKey(9);
+  BlockSolveCache::Claim holder;
+  ASSERT_FALSE(
+      cache.LookupOrClaim(key, ResourceGovernor::Unlimited(), &holder)
+          .has_value());
+  std::atomic<bool> returned{false};
+  bool found = true;
+  bool claimed = true;
+  {
+    ThreadPool pool(1);
+    pool.Submit([&] {
+      BlockSolveCache::Claim claim;
+      found = cache.LookupOrClaim(key, gov, &claim).has_value();
+      claimed = claim.held();
+      returned.store(true);
+    });
+    interrupt(cache);
+    while (!returned.load()) {  // the pool would discard an unstarted task
+      std::this_thread::yield();
+    }
+  }
+  EXPECT_FALSE(found);
+  EXPECT_FALSE(claimed);
+  EXPECT_TRUE(holder.held());
+  EXPECT_EQ(gov.nodes_spent(), 0u);
+  EXPECT_FALSE(gov.exhausted());  // waiting fires nothing itself
+}
+
+TEST(SingleFlightTest, CancelledWaiterStopsWaitingWithoutCountingNodes) {
+  std::atomic<uint64_t> bound{100};
+  ResourceBudget budget;
+  budget.max_nodes = 1000;  // node-counting, so a stray Checkpoint shows
+  ResourceGovernor gov(budget);
+  gov.ArmCancellation(&bound, /*position=*/5);
+  ExpectWaiterStopsWhen(gov, [&](const BlockSolveCache& cache) {
+    AwaitWaits(cache, 1);
+    bound.store(5);  // cancels the waiter's position
+  });
+}
+
+TEST(SingleFlightTest, WaiterPastItsDeadlineStopsWaitingWithoutCountingNodes) {
+  ResourceBudget budget;
+  budget.deadline_ms = 20;
+  ResourceGovernor gov(budget);
+  // The deadline passes on its own, whether before or during the wait.
+  ExpectWaiterStopsWhen(gov, [](const BlockSolveCache&) {});
+  EXPECT_TRUE(gov.InterruptPending());
+}
+
+// The 4 identical shards of IdenticalShardsHitAfterTheFirstSolve, solved
+// at 4 threads: one solve, three replays, on every run.
+TEST(SingleFlightTest, FourThreadsSolveIdenticalShardsOnce) {
+  PreferredRepairProblem p = MakeHardShardedWorkload(4, 3, 3);
+  for (int run = 0; run < 20; ++run) {
+    BlockSolveCache cache;
+    ProblemContext ctx(*p.instance, *p.priority);
+    ctx.set_block_cache(&cache);
+    ctx.set_parallelism(4);
+    RepairChecker checker(ctx);
+    auto outcome = checker.CheckGloballyOptimal(p.j);
+    ASSERT_TRUE(outcome.ok());
+    BlockCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.stores, 1u) << "run " << run;
+    // Every miss stored: no thread repeated another's solve.
+    EXPECT_EQ(stats.misses, stats.stores) << "run " << run;
+    EXPECT_EQ(stats.hits, 3u) << "run " << run;
+  }
 }
 
 // ---- End to end -----------------------------------------------------

@@ -20,9 +20,14 @@ Gate rules (see docs/memory-layout.md):
   flat_speedup      >= 3.0 at every shard point (absolute floor), and
                     >= 75% of the baseline ratio (25% regression
                     tolerance for noise);
-  early_exit_gain   >= 2.0, and >= 75% of baseline — losing the
+  early_exit_gain   >= 2.0 (absolute floor only) — losing the
                     short-circuit shows up as this ratio collapsing
-                    to ~1;
+                    to ~1.  An intact short-circuit gains
+                    (c + 12w) / (c + w) for a per-call cost c and a
+                    per-column cost w over the 12 lhs columns of the
+                    full scan; c/w depends on the CPU, so the gain can
+                    sit anywhere in (1, 12] and no baseline-relative
+                    band transfers across hosts;
   scalar_penalty    <= 1.25x baseline and <= 2.0 absolute — the scalar
                     fallback drifting away from the vector kernel means
                     a portability regression.
@@ -90,24 +95,18 @@ def check(baseline: dict, current: dict) -> list[str]:
                     f"conflict_build[{shards}].scalar_penalty = "
                     f"{penalty:.2f}x grew > {100 * (SCALAR_HEADROOM - 1):.0f}% "
                     f"over the baseline {base_penalty:.2f}x")
-    base_kernel = baseline.get("agree_kernel", {})
-    cur_kernel = current.get("agree_kernel", {})
-    gain = cur_kernel.get("early_exit_gain")
-    base_gain = base_kernel.get("early_exit_gain")
+    # The early-exit gain is gated by its floor alone: its level is a
+    # property of the CPU (see the module docstring), while "the
+    # short-circuit is gone" reads ~1x on every host.
+    gain = current.get("agree_kernel", {}).get("early_exit_gain")
     if gain is None:
         failures.append("agree_kernel.early_exit_gain: missing from the "
                         "current measurement")
-    else:
-        if gain < EARLY_EXIT_FLOOR:
-            failures.append(
-                f"agree_kernel.early_exit_gain = {gain:.2f}x breaches the "
-                f">= {EARLY_EXIT_FLOOR:.1f}x floor — the FactsAgreeOn "
-                f"short-circuit is gone")
-        if base_gain is not None and gain < base_gain * TOLERANCE:
-            failures.append(
-                f"agree_kernel.early_exit_gain = {gain:.2f}x regressed "
-                f"> {100 * (1 - TOLERANCE):.0f}% from the baseline "
-                f"{base_gain:.2f}x")
+    elif gain < EARLY_EXIT_FLOOR:
+        failures.append(
+            f"agree_kernel.early_exit_gain = {gain:.2f}x breaches the "
+            f">= {EARLY_EXIT_FLOOR:.1f}x floor — the FactsAgreeOn "
+            f"short-circuit is gone")
     return failures
 
 
@@ -145,6 +144,14 @@ def selftest() -> int:
         print("perf_gate selftest: FAIL — lost early exit passed",
               file=sys.stderr)
         return 1
+    # An intact early exit on a host whose per-call cost is larger:
+    # above the 2x floor but below 75% of the baseline gain, must pass.
+    slower_host = copy.deepcopy(baseline)
+    slower_host["agree_kernel"]["early_exit_gain"] = 3.0
+    if check(baseline, slower_host):
+        print("perf_gate selftest: FAIL — an early-exit gain above the "
+              "2x floor was rejected", file=sys.stderr)
+        return 1
     # A scalar fallback drifting to 3x the vector kernel: must fail.
     slow_scalar = copy.deepcopy(baseline)
     slow_scalar["conflict_build"]["8"]["scalar_penalty"] = 3.0
@@ -153,7 +160,7 @@ def selftest() -> int:
               file=sys.stderr)
         return 1
     print("perf_gate selftest: all synthetic regressions rejected, "
-          "identical measurement accepted")
+          "identical measurement and above-floor early exit accepted")
     return 0
 
 
