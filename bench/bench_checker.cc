@@ -37,9 +37,11 @@ void BM_Checker_DirectTwoKeys(benchmark::State& state) {
   PreferredRepairProblem problem = bench::SizedProblem(
       bench::TwoKeysSchema(), state.range(0), JPolicy::kHighPriorityRepair);
   ConflictGraph cg(*problem.instance);
+  const std::vector<FactId>& scope = problem.instance->facts_of(0);
   for (auto _ : state) {
-    CheckResult r = CheckGlobalOptimalTwoKeys(
-        cg, *problem.priority, 0, AttrSet{1}, AttrSet{2}, problem.j);
+    CheckResult r =
+        CheckGlobalOptimalTwoKeys(cg, *problem.priority, 0, AttrSet{1},
+                                  AttrSet{2}, problem.j, scope);
     benchmark::DoNotOptimize(r.optimal);
   }
 }

@@ -77,9 +77,11 @@ void BM_Twin_S2Binary(benchmark::State& state) {
       bench::TwoKeysSchema(), state.range(0), JPolicy::kHighPriorityRepair,
       /*seed=*/7);
   ConflictGraph cg(*problem.instance);
+  const std::vector<FactId>& scope = problem.instance->facts_of(0);
   for (auto _ : state) {
-    CheckResult r = CheckGlobalOptimalTwoKeys(
-        cg, *problem.priority, 0, AttrSet{1}, AttrSet{2}, problem.j);
+    CheckResult r =
+        CheckGlobalOptimalTwoKeys(cg, *problem.priority, 0, AttrSet{1},
+                                  AttrSet{2}, problem.j, scope);
     benchmark::DoNotOptimize(r.optimal);
   }
 }
@@ -92,9 +94,11 @@ void BM_Twin_S4SingleFd(benchmark::State& state) {
       bench::OneFdSchema(), state.range(0), JPolicy::kHighPriorityRepair,
       /*seed=*/7);
   ConflictGraph cg(*problem.instance);
+  const std::vector<FactId>& scope = problem.instance->facts_of(0);
   for (auto _ : state) {
-    CheckResult r = CheckGlobalOptimalOneFd(
-        cg, *problem.priority, 0, FD(AttrSet{1}, AttrSet{2}), problem.j);
+    CheckResult r = CheckGlobalOptimalOneFd(cg, *problem.priority, 0,
+                                            FD(AttrSet{1}, AttrSet{2}),
+                                            problem.j, scope);
     benchmark::DoNotOptimize(r.optimal);
   }
 }

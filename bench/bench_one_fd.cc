@@ -16,34 +16,36 @@ const FD kFd(AttrSet{1}, AttrSet{2});
 
 void BM_OneFd_OptimalJ(benchmark::State& state) {
   // High-priority greedy J is (almost always) optimal: worst case for
-  // the algorithm, which must try every swap before accepting.
+  // the algorithm, which must test every A∪B class before accepting.
   PreferredRepairProblem problem = bench::SizedProblem(
       bench::OneFdSchema(), state.range(0), JPolicy::kHighPriorityRepair);
   ConflictGraph cg(*problem.instance);
+  const std::vector<FactId>& scope = problem.instance->facts_of(0);
   for (auto _ : state) {
-    CheckResult r =
-        CheckGlobalOptimalOneFd(cg, *problem.priority, 0, kFd, problem.j);
+    CheckResult r = CheckGlobalOptimalOneFd(cg, *problem.priority, 0, kFd,
+                                            problem.j, scope);
     benchmark::DoNotOptimize(r.optimal);
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_OneFd_OptimalJ)->RangeMultiplier(2)->Range(16, 2048)
-    ->Complexity(benchmark::oNSquared);
+BENCHMARK(BM_OneFd_OptimalJ)->RangeMultiplier(2)->Range(16, 65536)
+    ->Complexity(benchmark::oN);
 
 void BM_OneFd_ImprovableJ(benchmark::State& state) {
   // Low-priority J admits improvements: the scan usually exits early.
   PreferredRepairProblem problem = bench::SizedProblem(
       bench::OneFdSchema(), state.range(0), JPolicy::kLowPriorityRepair);
   ConflictGraph cg(*problem.instance);
+  const std::vector<FactId>& scope = problem.instance->facts_of(0);
   for (auto _ : state) {
-    CheckResult r =
-        CheckGlobalOptimalOneFd(cg, *problem.priority, 0, kFd, problem.j);
+    CheckResult r = CheckGlobalOptimalOneFd(cg, *problem.priority, 0, kFd,
+                                            problem.j, scope);
     benchmark::DoNotOptimize(r.optimal);
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_OneFd_ImprovableJ)->RangeMultiplier(2)->Range(16, 2048)
-    ->Complexity();
+BENCHMARK(BM_OneFd_ImprovableJ)->RangeMultiplier(2)->Range(16, 65536)
+    ->Complexity(benchmark::oN);
 
 void BM_OneFd_SwapConstruction(benchmark::State& state) {
   PreferredRepairProblem problem = bench::SizedProblem(

@@ -14,9 +14,11 @@ void BM_TwoKeys_OptimalJ(benchmark::State& state) {
   PreferredRepairProblem problem = bench::SizedProblem(
       bench::TwoKeysSchema(), state.range(0), JPolicy::kHighPriorityRepair);
   ConflictGraph cg(*problem.instance);
+  const std::vector<FactId>& scope = problem.instance->facts_of(0);
   for (auto _ : state) {
-    CheckResult r = CheckGlobalOptimalTwoKeys(
-        cg, *problem.priority, 0, AttrSet{1}, AttrSet{2}, problem.j);
+    CheckResult r =
+        CheckGlobalOptimalTwoKeys(cg, *problem.priority, 0, AttrSet{1},
+                                  AttrSet{2}, problem.j, scope);
     benchmark::DoNotOptimize(r.optimal);
   }
   state.SetComplexityN(state.range(0));
@@ -28,9 +30,11 @@ void BM_TwoKeys_ImprovableJ(benchmark::State& state) {
   PreferredRepairProblem problem = bench::SizedProblem(
       bench::TwoKeysSchema(), state.range(0), JPolicy::kLowPriorityRepair);
   ConflictGraph cg(*problem.instance);
+  const std::vector<FactId>& scope = problem.instance->facts_of(0);
   for (auto _ : state) {
-    CheckResult r = CheckGlobalOptimalTwoKeys(
-        cg, *problem.priority, 0, AttrSet{1}, AttrSet{2}, problem.j);
+    CheckResult r =
+        CheckGlobalOptimalTwoKeys(cg, *problem.priority, 0, AttrSet{1},
+                                  AttrSet{2}, problem.j, scope);
     benchmark::DoNotOptimize(r.optimal);
   }
 }
@@ -42,7 +46,8 @@ void BM_TwoKeys_GraphConstruction(benchmark::State& state) {
   const Instance& inst = *problem.instance;
   for (auto _ : state) {
     KeyedImprovementGraph g = BuildImprovementGraph(
-        inst, *problem.priority, 0, AttrSet{1}, AttrSet{2}, problem.j);
+        inst, *problem.priority, 0, AttrSet{1}, AttrSet{2}, problem.j,
+        inst.facts_of(0));
     benchmark::DoNotOptimize(g.graph.num_edges());
   }
 }
@@ -55,9 +60,11 @@ void BM_TwoKeys_CompositeKeys(benchmark::State& state) {
   PreferredRepairProblem problem = bench::SizedProblem(
       schema, state.range(0), JPolicy::kRandomRepair);
   ConflictGraph cg(*problem.instance);
+  const std::vector<FactId>& scope = problem.instance->facts_of(0);
   for (auto _ : state) {
-    CheckResult r = CheckGlobalOptimalTwoKeys(
-        cg, *problem.priority, 0, AttrSet{1, 2}, AttrSet{2, 3}, problem.j);
+    CheckResult r =
+        CheckGlobalOptimalTwoKeys(cg, *problem.priority, 0, AttrSet{1, 2},
+                                  AttrSet{2, 3}, problem.j, scope);
     benchmark::DoNotOptimize(r.optimal);
   }
 }

@@ -53,10 +53,10 @@ int main(int argc, char** argv) {
       running.instance->SubinstanceByLabels({"d1a", "f2b", "f3c"});
   KeyedImprovementGraph g12 = BuildImprovementGraph(
       *running.instance, *running.priority, lib_loc, AttrSet{1}, AttrSet{2},
-      j);
+      j, running.instance->facts_of(lib_loc));
   KeyedImprovementGraph g21 = BuildImprovementGraph(
       *running.instance, *running.priority, lib_loc, AttrSet{2}, AttrSet{1},
-      j);
+      j, running.instance->facts_of(lib_loc));
   WriteFile(dir + "/figure3_g12.dot", ImprovementGraphToDot(g12, "G12"));
   WriteFile(dir + "/figure3_g21.dot", ImprovementGraphToDot(g21, "G21"));
 

@@ -56,7 +56,7 @@ class OneFdSolver final : public BlockSolver {
                       "block dispatched to GRepCheck1FD but its relation is "
                       "not single-fd");
     return CheckGlobalOptimalOneFd(ctx.conflict_graph(), ctx.priority(), b.rel,
-                                   rc.single_fd, j, &b.facts);
+                                   rc.single_fd, j, b.fact_list);
   }
 };
 
@@ -70,7 +70,7 @@ class TwoKeysSolver final : public BlockSolver {
                       "block dispatched to GRepCheck2Keys but its relation is "
                       "not two-keys");
     return CheckGlobalOptimalTwoKeys(ctx.conflict_graph(), ctx.priority(),
-                                     b.rel, rc.key1, rc.key2, j, &b.facts);
+                                     b.rel, rc.key1, rc.key2, j, b.fact_list);
   }
 };
 
@@ -194,7 +194,7 @@ class ParetoSolver final : public BlockSolver {
   CheckResult CheckBlock(const ProblemContext& ctx, const Block& b,
                          const DynamicBitset& j) const override {
     return FindParetoImprovement(ctx.conflict_graph(), ctx.priority(), j,
-                                 &b.facts);
+                                 b.fact_list);
   }
 };
 

@@ -93,16 +93,13 @@ bool KeyedImprovementGraph::HasEdge(const std::string& from_label,
 KeyedImprovementGraph BuildImprovementGraph(
     const Instance& instance, const PriorityRelation& pr, RelId rel,
     AttrSet first_key, AttrSet second_key, const DynamicBitset& j,
-    const DynamicBitset* universe) {
+    std::span<const FactId> scope) {
   KeyedImprovementGraph g;
   NodeTable nodes(&g, &instance);
-  auto in_universe = [universe](FactId f) {
-    return universe == nullptr || universe->test(f);
-  };
 
   // Forward edges: one per J-fact, f[first] → f[second].
-  for (FactId f : instance.facts_of(rel)) {
-    if (!j.test(f) || !in_universe(f)) {
+  for (FactId f : scope) {
+    if (!j.test(f)) {
       continue;
     }
     const Fact& fact = instance.fact(f);
@@ -121,8 +118,8 @@ KeyedImprovementGraph BuildImprovementGraph(
 
   // Backward edges: f′ ∈ I \ J preferred over a J-fact f that shares the
   // second-key projection contributes f′[second] → f′[first].
-  for (FactId f_prime : instance.facts_of(rel)) {
-    if (j.test(f_prime) || !in_universe(f_prime)) {
+  for (FactId f_prime : scope) {
+    if (j.test(f_prime)) {
       continue;
     }
     const Fact& fp = instance.fact(f_prime);
@@ -181,30 +178,20 @@ CheckResult CheckGlobalOptimalTwoKeys(const ConflictGraph& cg,
                                       const PriorityRelation& pr, RelId rel,
                                       AttrSet key1, AttrSet key2,
                                       const DynamicBitset& j,
-                                      const DynamicBitset* universe) {
+                                      std::span<const FactId> scope) {
   const Instance& instance = cg.instance();
-  auto in_universe = [universe](FactId f) {
-    return universe == nullptr || universe->test(f);
-  };
 
   // Reject inconsistent J (not a repair, hence not globally-optimal).
-  for (FactId f : instance.facts_of(rel)) {
-    if (!j.test(f) || !in_universe(f)) {
-      continue;
-    }
-    for (FactId g : cg.neighbors(f)) {
-      if (g > f && j.test(g)) {
-        return CheckResult::NotOptimalNoWitness();
-      }
-    }
+  if (!IsConsistent(cg, j, scope)) {
+    return CheckResult::NotOptimalNoWitness();
   }
 
   // Step 1 of GRepCheck2Keys: a Pareto improvement (this also catches a
   // non-maximal J).  Restrict attention to this relation: a Pareto
   // improvement through a fact of another relation is invisible to this
   // sub-problem and is handled by its own relation's check.
-  for (FactId g : instance.facts_of(rel)) {
-    if (j.test(g) || !in_universe(g)) {
+  for (FactId g : scope) {
+    if (j.test(g)) {
       continue;
     }
     bool improves = true;
@@ -230,13 +217,13 @@ CheckResult CheckGlobalOptimalTwoKeys(const ConflictGraph& cg,
 
   // Step 2: cycles in G12_J and G21_J.
   KeyedImprovementGraph g12 =
-      BuildImprovementGraph(instance, pr, rel, key1, key2, j, universe);
+      BuildImprovementGraph(instance, pr, rel, key1, key2, j, scope);
   if (auto cycle = g12.graph.FindCycle()) {
     return CheckResult::NotOptimal(ImprovementFromCycle(g12, *cycle, j),
                                    "cycle in G12_J");
   }
   KeyedImprovementGraph g21 =
-      BuildImprovementGraph(instance, pr, rel, key2, key1, j, universe);
+      BuildImprovementGraph(instance, pr, rel, key2, key1, j, scope);
   if (auto cycle = g21.graph.FindCycle()) {
     return CheckResult::NotOptimal(ImprovementFromCycle(g21, *cycle, j),
                                    "cycle in G21_J");

@@ -18,6 +18,7 @@
 #ifndef PREFREP_REPAIR_GLOBAL_TWO_KEYS_H_
 #define PREFREP_REPAIR_GLOBAL_TWO_KEYS_H_
 
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -58,27 +59,32 @@ struct KeyedImprovementGraph {
                const std::string& to_label, bool to_left) const;
 };
 
-/// Builds G^{first,second}_J for relation `rel`.  Requires J ∩ rel to be
-/// consistent with respect to both keys (so that projections of J-facts
-/// onto either key are unique).  A non-null `universe` restricts the
-/// construction to the facts of one conflict block; since facts of
-/// different blocks never share a key projection, the unrestricted graph
-/// is the disjoint union of the per-block graphs.
+/// Builds G^{first,second}_J over the facts `scope` of relation `rel`:
+/// one conflict block (`Block::fact_list`) or the whole relation
+/// (`facts_of(rel)`).  Requires J ∩ scope to be consistent with respect
+/// to both keys (so that projections of J-facts onto either key are
+/// unique).  Since facts of different blocks never share a key
+/// projection, the whole relation's graph is the disjoint union of the
+/// per-block graphs.
 KeyedImprovementGraph BuildImprovementGraph(
     const Instance& instance, const PriorityRelation& pr, RelId rel,
     AttrSet first_key, AttrSet second_key, const DynamicBitset& j,
-    const DynamicBitset* universe = nullptr);
+    std::span<const FactId> scope);
 
-/// GRepCheck2Keys restricted to relation `rel`: decides whether J ∩ rel
-/// is a globally-optimal repair of I ∩ rel where ∆|rel is equivalent to
-/// the two key constraints key1 → ⟦R⟧ and key2 → ⟦R⟧ (incomparable).
-/// Arbitrary J is handled (inconsistent or non-maximal J is rejected).
-/// A non-null `universe` restricts the check to one conflict block.
+/// GRepCheck2Keys restricted to the facts `scope` of relation `rel`:
+/// decides whether J ∩ scope is a globally-optimal repair of scope where
+/// ∆|rel is equivalent to the two key constraints key1 → ⟦R⟧ and
+/// key2 → ⟦R⟧ (incomparable).  `scope` is closed under conflicts: one
+/// conflict block (`Block::fact_list`) or the whole relation
+/// (`facts_of(rel)`); J outside it is not examined.  Arbitrary
+/// J ∩ scope is handled (inconsistent or non-maximal is rejected).
+/// Runs in time linear in the scope, its conflicts and the priority
+/// edges at its facts.
 CheckResult CheckGlobalOptimalTwoKeys(const ConflictGraph& cg,
                                       const PriorityRelation& pr, RelId rel,
                                       AttrSet key1, AttrSet key2,
                                       const DynamicBitset& j,
-                                      const DynamicBitset* universe = nullptr);
+                                      std::span<const FactId> scope);
 
 }  // namespace prefrep
 

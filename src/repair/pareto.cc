@@ -2,21 +2,25 @@
 // by searching for a Pareto improvement set directly.
 #include "repair/pareto.h"
 
+#include <ranges>
+
 #include "repair/audit.h"
 #include "repair/subinstance_ops.h"
 
 namespace prefrep {
 
-CheckResult FindParetoImprovement(const ConflictGraph& cg,
-                                  const PriorityRelation& pr,
-                                  const DynamicBitset& j,
-                                  const DynamicBitset* universe) {
-  PREFREP_CHECK_MSG(IsConsistent(cg, j),
-                    "FindParetoImprovement requires a consistent J");
-  size_t n = cg.num_facts();
+namespace {
+
+// The first fact g of `candidates` (in their order) that Pareto-improves
+// the consistent `j`, as a NotOptimal witness; Optimal if none does.
+template <typename FactRange>
+CheckResult FirstParetoImprovement(const ConflictGraph& cg,
+                                   const PriorityRelation& pr,
+                                   const DynamicBitset& j,
+                                   const FactRange& candidates) {
   const Instance& instance = cg.instance();
-  for (FactId g = 0; g < n; ++g) {
-    if (j.test(g) || (universe != nullptr && !universe->test(g))) {
+  for (FactId g : candidates) {
+    if (j.test(g)) {
       continue;
     }
     // g improves J iff g ≻ f for every f ∈ J conflicting with g.
@@ -47,17 +51,26 @@ CheckResult FindParetoImprovement(const ConflictGraph& cg,
   return CheckResult::Optimal();
 }
 
+}  // namespace
+
+CheckResult FindParetoImprovement(const ConflictGraph& cg,
+                                  const PriorityRelation& pr,
+                                  const DynamicBitset& j,
+                                  std::span<const FactId> scope) {
+  PREFREP_CHECK_MSG(IsConsistent(cg, j, scope),
+                    "FindParetoImprovement requires a consistent J");
+  return FirstParetoImprovement(cg, pr, j, scope);
+}
+
 CheckResult CheckParetoOptimal(const ConflictGraph& cg,
                                const PriorityRelation& pr,
                                const DynamicBitset& j) {
   if (!IsConsistent(cg, j)) {
     return CheckResult::NotOptimalNoWitness();  // not even a repair
   }
-  CheckResult improvement = FindParetoImprovement(cg, pr, j);
-  if (!improvement.optimal) {
-    return improvement;
-  }
-  return CheckResult::Optimal();
+  return FirstParetoImprovement(
+      cg, pr, j,
+      std::views::iota(FactId{0}, static_cast<FactId>(cg.num_facts())));
 }
 
 }  // namespace prefrep

@@ -12,29 +12,33 @@
 #ifndef PREFREP_REPAIR_PARETO_H_
 #define PREFREP_REPAIR_PARETO_H_
 
+#include <span>
+
 #include "repair/improvement.h"
 
 namespace prefrep {
 
-/// Finds a Pareto improvement of the consistent subinstance `j`, if one
-/// exists.  Requires `j` consistent (checked).
+/// Finds a Pareto improvement of `j` through a fact of `scope`, if one
+/// exists.  `scope` is closed under conflicts: one conflict block
+/// (`Block::fact_list`) or one relation (`facts_of(rel)`).  Requires J ∩
+/// scope consistent (checked, in time linear in the scope and its
+/// conflicts; J outside the scope is not examined).
 ///
-/// The witness returned is (J \ C(g)) ∪ {g}, where g is the improving
-/// fact and C(g) the facts of J conflicting with g.
-///
-/// A non-null `universe` restricts the candidate improving facts g to
-/// one conflict block; a Pareto improvement through g only removes facts
-/// conflicting with g, so the whole-instance verdict is the conjunction
-/// of the per-block verdicts (plus presence of all conflict-free facts).
+/// The witness returned is (J \ C(g)) ∪ {g}, where g is the first
+/// improving fact of `scope` and C(g) the facts of J conflicting with g.
+/// A Pareto improvement through g only removes facts conflicting with
+/// g, so the whole-instance verdict is the conjunction of the per-block
+/// verdicts (plus presence of all conflict-free facts).
 CheckResult FindParetoImprovement(const ConflictGraph& cg,
                                   const PriorityRelation& pr,
                                   const DynamicBitset& j,
-                                  const DynamicBitset* universe = nullptr);
+                                  std::span<const FactId> scope);
 
 /// Pareto-optimal repair checking: true iff `j` is a Pareto-optimal
 /// repair of I, i.e. `j` is consistent and admits no Pareto improvement.
 /// (A consistent non-maximal `j` always admits one, so maximality need
-/// not be tested separately.)  Returns a witness when not optimal.
+/// not be tested separately.)  Returns a witness when not optimal: the
+/// one of `FindParetoImprovement`, candidates taken in fact-id order.
 CheckResult CheckParetoOptimal(const ConflictGraph& cg,
                                const PriorityRelation& pr,
                                const DynamicBitset& j);

@@ -66,6 +66,21 @@ bool IsConsistent(const ConflictGraph& cg, const DynamicBitset& sub) {
   return consistent;
 }
 
+bool IsConsistent(const ConflictGraph& cg, const DynamicBitset& sub,
+                  std::span<const FactId> scope) {
+  for (FactId f : scope) {
+    if (!sub.test(f)) {
+      continue;
+    }
+    for (FactId g : cg.neighbors(f)) {
+      if (g > f && sub.test(g)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 bool IsRepair(const ConflictGraph& cg, const DynamicBitset& sub) {
   if (!IsConsistent(cg, sub)) {
     return false;

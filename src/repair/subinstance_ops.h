@@ -7,6 +7,7 @@
 #define PREFREP_REPAIR_SUBINSTANCE_OPS_H_
 
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -23,6 +24,12 @@ bool IsConsistent(const Instance& instance, const DynamicBitset& sub);
 
 /// Same, via a prebuilt conflict graph (O(edges within sub)).
 bool IsConsistent(const ConflictGraph& cg, const DynamicBitset& sub);
+
+/// Tests whether sub ∩ scope is consistent, for a `scope` closed under
+/// conflicts (a conflict block, a relation, or every fact).  Time
+/// linear in the scope and the conflicts at its facts of `sub`.
+bool IsConsistent(const ConflictGraph& cg, const DynamicBitset& sub,
+                  std::span<const FactId> scope);
 
 /// Returns a violating pair of facts of `sub`, if any.
 std::optional<std::pair<FactId, FactId>> FindViolation(

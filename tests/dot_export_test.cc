@@ -43,7 +43,8 @@ TEST(DotExportTest, ImprovementGraphFigure3) {
   RelId lib_loc = p.instance->schema().FindRelation("LibLoc");
   DynamicBitset j = testing_util::Sub(*p.instance, {"d1a", "f2b", "f3c"});
   KeyedImprovementGraph g21 = BuildImprovementGraph(
-      *p.instance, *p.priority, lib_loc, AttrSet{2}, AttrSet{1}, j);
+      *p.instance, *p.priority, lib_loc, AttrSet{2}, AttrSet{1}, j,
+      p.instance->facts_of(lib_loc));
   std::string dot = ImprovementGraphToDot(g21, "G21");
   EXPECT_NE(dot.find("digraph G21 {"), std::string::npos);
   // 3 forward (solid) + 2 backward (dashed) edges as in Figure 3.

@@ -41,12 +41,14 @@ TEST(OneFdTest, BlocksMoveTogether) {
   EXPECT_EQ(swapped, Sub(inst, {"b1", "b2", "b3"}));
 
   // Block A is dominated fact-wise by block B: not optimal.
-  CheckResult r = CheckGlobalOptimalOneFd(cg, *p.priority, 0, fd, block_a);
+  CheckResult r = CheckGlobalOptimalOneFd(cg, *p.priority, 0, fd, block_a,
+                                          cg.instance().facts_of(0));
   EXPECT_FALSE(r.optimal);
   EXPECT_EQ(r.witness->improvement, Sub(inst, {"b1", "b2", "b3"}));
   // Block B is optimal.
   EXPECT_TRUE(CheckGlobalOptimalOneFd(cg, *p.priority, 0, fd,
-                                      Sub(inst, {"b1", "b2", "b3"}))
+                                      Sub(inst, {"b1", "b2", "b3"}),
+                                      cg.instance().facts_of(0))
                   .optimal);
 }
 
@@ -61,13 +63,15 @@ TEST(OneFdTest, NonMaximalAndInconsistentInputs) {
   FD fd(AttrSet{1}, AttrSet{2});
   // Non-maximal: {a} misses c — witness is the extension.
   CheckResult r = CheckGlobalOptimalOneFd(cg, *p.priority, 0, fd,
-                                          Sub(inst, {"a"}));
+                                          Sub(inst, {"a"}),
+                                          cg.instance().facts_of(0));
   EXPECT_FALSE(r.optimal);
   ASSERT_TRUE(r.witness.has_value());
   EXPECT_TRUE(r.witness->improvement.test(inst.FindLabel("c")));
   // Inconsistent: rejected without witness.
   CheckResult bad = CheckGlobalOptimalOneFd(cg, *p.priority, 0, fd,
-                                            Sub(inst, {"a", "b"}));
+                                            Sub(inst, {"a", "b"}),
+                                            cg.instance().facts_of(0));
   EXPECT_FALSE(bad.optimal);
   EXPECT_FALSE(bad.witness.has_value());
 }
@@ -81,10 +85,12 @@ TEST(OneFdTest, TrivialFdAcceptsOnlyFullInstance) {
   ConflictGraph cg(*p.instance);
   FD trivial{AttrSet(), AttrSet()};
   EXPECT_TRUE(CheckGlobalOptimalOneFd(cg, *p.priority, 0, trivial,
-                                      p.instance->AllFacts())
+                                      p.instance->AllFacts(),
+                                      cg.instance().facts_of(0))
                   .optimal);
   EXPECT_FALSE(CheckGlobalOptimalOneFd(cg, *p.priority, 0, trivial,
-                                       Sub(*p.instance, {"a"}))
+                                       Sub(*p.instance, {"a"}),
+                                       cg.instance().facts_of(0))
                    .optimal);
 }
 
@@ -101,11 +107,13 @@ TEST(OneFdTest, EmptyLhsFdGroupsEverything) {
   FD fd(AttrSet(), AttrSet{2});
   // {x1, x2} loses to {y1} (every member dominated).
   CheckResult r = CheckGlobalOptimalOneFd(cg, *p.priority, 0, fd,
-                                          Sub(inst, {"x1", "x2"}));
+                                          Sub(inst, {"x1", "x2"}),
+                                          cg.instance().facts_of(0));
   EXPECT_FALSE(r.optimal);
   EXPECT_EQ(r.witness->improvement, Sub(inst, {"y1"}));
   EXPECT_TRUE(CheckGlobalOptimalOneFd(cg, *p.priority, 0, fd,
-                                      Sub(inst, {"y1"}))
+                                      Sub(inst, {"y1"}),
+                                      cg.instance().facts_of(0))
                   .optimal);
 }
 
@@ -122,7 +130,8 @@ TEST(TwoKeysTest, LengthTwoCycleIsASingleSwap) {
   const Instance& inst = *p.instance;
   ConflictGraph cg(inst);
   CheckResult r = CheckGlobalOptimalTwoKeys(cg, *p.priority, 0, AttrSet{1},
-                                            AttrSet{2}, Sub(inst, {"old"}));
+                                            AttrSet{2}, Sub(inst, {"old"}),
+                                            cg.instance().facts_of(0));
   EXPECT_FALSE(r.optimal);
   EXPECT_EQ(r.witness->improvement, Sub(inst, {"new"}));
 }
@@ -141,7 +150,8 @@ TEST(TwoKeysTest, LongerCyclesNeedAllLinks) {
   DynamicBitset j = Sub(inst, {"j1", "j2", "j3"});
   ASSERT_TRUE(IsRepair(cg, j));
   CheckResult r = CheckGlobalOptimalTwoKeys(cg, *p.priority, 0, AttrSet{1},
-                                            AttrSet{2}, j);
+                                            AttrSet{2}, j,
+                                            cg.instance().facts_of(0));
   EXPECT_FALSE(r.optimal);
   EXPECT_EQ(r.witness->improvement, Sub(inst, {"i1", "i2", "i3"}));
   EXPECT_EQ(testing_util::VerifyWitness(cg, *p.priority, j, r), "");
@@ -153,7 +163,8 @@ TEST(TwoKeysTest, LongerCyclesNeedAllLinks) {
   ConflictGraph cg2(*q.instance);
   DynamicBitset j2 = Sub(*q.instance, {"j1", "j2", "j3"});
   EXPECT_TRUE(CheckGlobalOptimalTwoKeys(cg2, *q.priority, 0, AttrSet{1},
-                                        AttrSet{2}, j2)
+                                        AttrSet{2}, j2,
+                                        cg2.instance().facts_of(0))
                   .optimal);
   EXPECT_TRUE(
       ExhaustiveCheckGlobalOptimal(cg2, *q.priority, j2).optimal);
@@ -173,7 +184,8 @@ TEST(TwoKeysTest, BackwardEdgeNeedsSecondKeyAgreement) {
   ConflictGraph cg(inst);
   DynamicBitset j = Sub(inst, {"j1"});
   CheckResult fast = CheckGlobalOptimalTwoKeys(cg, *p.priority, 0,
-                                               AttrSet{1}, AttrSet{2}, j);
+                                               AttrSet{1}, AttrSet{2}, j,
+                                               cg.instance().facts_of(0));
   CheckResult exact = ExhaustiveCheckGlobalOptimal(cg, *p.priority, j);
   EXPECT_EQ(fast.optimal, exact.optimal);
   EXPECT_FALSE(fast.optimal);  // Pareto step: i dominates its conflicts
@@ -188,7 +200,7 @@ TEST(TwoKeysTest, InconsistentJRejected) {
   ConflictGraph cg(*p.instance);
   CheckResult r = CheckGlobalOptimalTwoKeys(
       cg, *p.priority, 0, AttrSet{1}, AttrSet{2},
-      Sub(*p.instance, {"a", "b"}));
+      Sub(*p.instance, {"a", "b"}), cg.instance().facts_of(0));
   EXPECT_FALSE(r.optimal);
   EXPECT_FALSE(r.witness.has_value());
 }
@@ -206,7 +218,7 @@ TEST(TwoKeysTest, CompositeOverlappingKeysWitness) {
   ConflictGraph cg(inst);
   CheckResult r = CheckGlobalOptimalTwoKeys(
       cg, *p.priority, 0, AttrSet{1, 2}, AttrSet{2, 3},
-      Sub(inst, {"old"}));
+      Sub(inst, {"old"}), cg.instance().facts_of(0));
   EXPECT_FALSE(r.optimal);
   EXPECT_EQ(r.witness->improvement, Sub(inst, {"new"}));
 }

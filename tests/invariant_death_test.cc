@@ -89,7 +89,8 @@ TEST(InvariantDeathTest, ParetoRequiresConsistentJ) {
   EXPECT_DEATH(
       {
         (void)FindParetoImprovement(cg, *p.priority,
-                                    p.instance->AllFacts());
+                                    p.instance->AllFacts(),
+                                    p.instance->facts_of(0));
       },
       "consistent");
 }

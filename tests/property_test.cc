@@ -80,7 +80,7 @@ TEST_P(OneFdProperty, MatchesExhaustive) {
   const PriorityRelation& pr = *problem.priority;
   CheckResult fast =
       CheckGlobalOptimalOneFd(cg, pr, 0, FD(AttrSet{1}, AttrSet{2}),
-                              problem.j);
+                              problem.j, problem.instance->facts_of(0));
   CheckResult exact = ExhaustiveCheckGlobalOptimal(cg, pr, problem.j);
   EXPECT_EQ(fast.optimal, exact.optimal)
       << "J = " << problem.instance->SubinstanceToString(problem.j);
@@ -96,7 +96,8 @@ TEST_P(OneFdProperty, MatchesExhaustiveWithWideFd) {
   ConflictGraph cg(*problem.instance);
   const PriorityRelation& pr = *problem.priority;
   CheckResult fast = CheckGlobalOptimalOneFd(
-      cg, pr, 0, FD(AttrSet{1}, AttrSet{2, 3}), problem.j);
+      cg, pr, 0, FD(AttrSet{1}, AttrSet{2, 3}), problem.j,
+      problem.instance->facts_of(0));
   CheckResult exact = ExhaustiveCheckGlobalOptimal(cg, pr, problem.j);
   EXPECT_EQ(fast.optimal, exact.optimal);
   EXPECT_EQ(testing_util::VerifyWitness(cg, pr, problem.j, fast), "");
@@ -110,7 +111,8 @@ TEST_P(OneFdProperty, MatchesExhaustiveWithEmptyLhs) {
   ConflictGraph cg(*problem.instance);
   const PriorityRelation& pr = *problem.priority;
   CheckResult fast = CheckGlobalOptimalOneFd(
-      cg, pr, 0, FD(AttrSet(), AttrSet{1}), problem.j);
+      cg, pr, 0, FD(AttrSet(), AttrSet{1}), problem.j,
+      problem.instance->facts_of(0));
   CheckResult exact = ExhaustiveCheckGlobalOptimal(cg, pr, problem.j);
   EXPECT_EQ(fast.optimal, exact.optimal);
   EXPECT_EQ(testing_util::VerifyWitness(cg, pr, problem.j, fast), "");
@@ -131,7 +133,8 @@ TEST_P(TwoKeysProperty, BinaryRelationMatchesExhaustive) {
   ConflictGraph cg(*problem.instance);
   const PriorityRelation& pr = *problem.priority;
   CheckResult fast = CheckGlobalOptimalTwoKeys(cg, pr, 0, AttrSet{1},
-                                               AttrSet{2}, problem.j);
+                                               AttrSet{2}, problem.j,
+                                               problem.instance->facts_of(0));
   CheckResult exact = ExhaustiveCheckGlobalOptimal(cg, pr, problem.j);
   EXPECT_EQ(fast.optimal, exact.optimal)
       << "J = " << problem.instance->SubinstanceToString(problem.j);
@@ -150,7 +153,8 @@ TEST_P(TwoKeysProperty, CompositeKeysMatchExhaustive) {
   ConflictGraph cg(*problem.instance);
   const PriorityRelation& pr = *problem.priority;
   CheckResult fast = CheckGlobalOptimalTwoKeys(
-      cg, pr, 0, AttrSet{1, 2}, AttrSet{2, 3}, problem.j);
+      cg, pr, 0, AttrSet{1, 2}, AttrSet{2, 3}, problem.j,
+      problem.instance->facts_of(0));
   CheckResult exact = ExhaustiveCheckGlobalOptimal(cg, pr, problem.j);
   EXPECT_EQ(fast.optimal, exact.optimal);
   EXPECT_EQ(testing_util::VerifyWitness(cg, pr, problem.j, fast), "");

@@ -187,7 +187,8 @@ TEST_F(RunningExampleTest, Example43Figure3Graphs) {
   DynamicBitset j = Sub(inst_, {"d1a", "f2b", "f3c"});
 
   KeyedImprovementGraph g12 =
-      BuildImprovementGraph(inst_, pr_, lib_loc, AttrSet{1}, AttrSet{2}, j);
+      BuildImprovementGraph(inst_, pr_, lib_loc, AttrSet{1}, AttrSet{2}, j,
+                            inst_.facts_of(lib_loc));
   EXPECT_TRUE(g12.HasEdge("lib1", true, "almaden", false));
   EXPECT_TRUE(g12.HasEdge("lib2", true, "bascom", false));
   EXPECT_TRUE(g12.HasEdge("lib3", true, "cambrian", false));
@@ -195,7 +196,8 @@ TEST_F(RunningExampleTest, Example43Figure3Graphs) {
   EXPECT_TRUE(g12.graph.IsAcyclic());
 
   KeyedImprovementGraph g21 =
-      BuildImprovementGraph(inst_, pr_, lib_loc, AttrSet{2}, AttrSet{1}, j);
+      BuildImprovementGraph(inst_, pr_, lib_loc, AttrSet{2}, AttrSet{1}, j,
+                            inst_.facts_of(lib_loc));
   EXPECT_TRUE(g21.HasEdge("almaden", true, "lib1", false));
   EXPECT_TRUE(g21.HasEdge("bascom", true, "lib2", false));
   EXPECT_TRUE(g21.HasEdge("cambrian", true, "lib3", false));
@@ -210,7 +212,8 @@ TEST_F(RunningExampleTest, TwoKeysCheckerFindsTheCycleImprovement) {
   // Whole-instance J3 (which restricts to {d1a, f2b, f3c} on LibLoc).
   DynamicBitset j3 = RunningExampleJ(inst_, 3);
   CheckResult r = CheckGlobalOptimalTwoKeys(cg_, pr_, lib_loc, AttrSet{1},
-                                            AttrSet{2}, j3);
+                                            AttrSet{2}, j3,
+                                            inst_.facts_of(lib_loc));
   EXPECT_FALSE(r.optimal);
   EXPECT_EQ(testing_util::VerifyWitness(cg_, pr_, j3, r), "");
 }
@@ -221,13 +224,16 @@ TEST_F(RunningExampleTest, OneFdCheckerOnBookLoc) {
   // BookLoc facts of J2 (all four J's share them): the fiction block wins
   // because nothing improves it.
   DynamicBitset j2 = RunningExampleJ(inst_, 2);
-  EXPECT_TRUE(CheckGlobalOptimalOneFd(cg_, pr_, book_loc, fd, j2).optimal);
+  EXPECT_TRUE(CheckGlobalOptimalOneFd(cg_, pr_, book_loc, fd, j2,
+                                      inst_.facts_of(book_loc))
+                  .optimal);
 
   // Take the drama fact instead: {f1d3, f2p1, h3h2} plus J2's LibLoc
   // facts.  g1f1/g1f2 ≻ f1d3, so swapping blocks improves it.
   DynamicBitset alt = Sub(inst_, {"f1d3", "f2p1", "h3h2", "d1e", "g2a",
                                   "e3b"});
-  CheckResult r = CheckGlobalOptimalOneFd(cg_, pr_, book_loc, fd, alt);
+  CheckResult r = CheckGlobalOptimalOneFd(cg_, pr_, book_loc, fd, alt,
+                                          inst_.facts_of(book_loc));
   EXPECT_FALSE(r.optimal);
   EXPECT_EQ(testing_util::VerifyWitness(cg_, pr_, alt, r), "");
 }

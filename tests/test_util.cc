@@ -1,6 +1,7 @@
 #include "test_util.h"
 
 #include "base/string_util.h"
+#include "repair/global_one_fd.h"
 
 namespace prefrep {
 namespace testing_util {
@@ -50,6 +51,52 @@ std::string VerifyWitness(const ConflictGraph& cg, const PriorityRelation& pr,
            cg.instance().SubinstanceToString(result.witness->improvement);
   }
   return "";
+}
+
+CheckResult ReferenceCheckGlobalOptimalOneFd(const ConflictGraph& cg,
+                                             const PriorityRelation& pr,
+                                             RelId rel, const FD& fd,
+                                             const DynamicBitset& j,
+                                             std::span<const FactId> scope) {
+  const Instance& instance = cg.instance();
+  for (FactId f : scope) {
+    if (!j.test(f)) {
+      continue;
+    }
+    for (FactId g : cg.neighbors(f)) {
+      if (g > f && j.test(g)) {
+        return CheckResult::NotOptimalNoWitness();
+      }
+    }
+  }
+  for (FactId g : scope) {
+    if (!j.test(g) && !cg.ConflictsWithSet(g, j)) {
+      DynamicBitset improvement = j;
+      improvement.set(g);
+      return CheckResult::NotOptimal(
+          std::move(improvement),
+          "J is not maximal: " + instance.FactToString(g) +
+              " can be added without conflict");
+    }
+  }
+  for (FactId f : scope) {
+    if (!j.test(f)) {
+      continue;
+    }
+    for (FactId g : cg.neighbors(f)) {
+      if (j.test(g)) {
+        continue;
+      }
+      DynamicBitset swapped = SwapBlocks(instance, rel, fd, j, f, g);
+      if (IsGlobalImprovement(cg, pr, j, swapped)) {
+        return CheckResult::NotOptimal(
+            std::move(swapped),
+            "J[" + instance.FactToString(f) + " ↔ " +
+                instance.FactToString(g) + "] is a global improvement");
+      }
+    }
+  }
+  return CheckResult::Optimal();
 }
 
 }  // namespace testing_util

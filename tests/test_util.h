@@ -4,10 +4,12 @@
 #ifndef PREFREP_TESTS_TEST_UTIL_H_
 #define PREFREP_TESTS_TEST_UTIL_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "conflicts/conflicts.h"
+#include "fd/fd.h"
 #include "model/problem.h"
 #include "repair/improvement.h"
 
@@ -37,6 +39,17 @@ DynamicBitset Sub(const Instance& instance,
 /// of any violation (empty string = fine).
 std::string VerifyWitness(const ConflictGraph& cg, const PriorityRelation& pr,
                           const DynamicBitset& j, const CheckResult& result);
+
+/// GRepCheck1FD exactly as Figure 2 states it: every conflicting pair
+/// (f ∈ J, g ∉ J) of `scope`, in ascending f and neighbour order, runs
+/// through SwapBlocks and IsGlobalImprovement.  O(pairs · n).  Kept as
+/// the reference that CheckGlobalOptimalOneFd (one test per A∪B class)
+/// must reproduce verdict, witness and explanation for.
+CheckResult ReferenceCheckGlobalOptimalOneFd(const ConflictGraph& cg,
+                                             const PriorityRelation& pr,
+                                             RelId rel, const FD& fd,
+                                             const DynamicBitset& j,
+                                             std::span<const FactId> scope);
 
 }  // namespace testing_util
 }  // namespace prefrep
